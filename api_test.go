@@ -176,7 +176,7 @@ func TestEagerOptionValidation(t *testing.T) {
 		WithRefineRounds(4), WithMaxStages(8), WithBatches(2),
 		WithEpsilonMax(4), WithTolerance(1),
 		WithMultilevel(CoarsenTo(16), CoarsenLevels(4), CoarsenSeed(9)),
-		WithSolver("revised"), WithObserver(func(Event) {})); err != nil {
+		WithSolver("network"), WithObserver(func(Event) {})); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
 }

@@ -236,7 +236,7 @@ func benchSimplex(b *testing.B, s lp.Solver) {
 
 func BenchmarkSimplex_Dense(b *testing.B)   { benchSimplex(b, lp.Dense{}) }
 func BenchmarkSimplex_Bounded(b *testing.B) { benchSimplex(b, lp.Bounded{}) }
-func BenchmarkSimplex_Revised(b *testing.B) { benchSimplex(b, lp.Revised{}) }
+func BenchmarkSimplex_Network(b *testing.B) { benchSimplex(b, lp.Network{}) }
 
 // --- Ablation A2/A4: refinement variants -------------------------------------
 

@@ -12,9 +12,12 @@
 //     assignment of new vertices, boundary layering, minimal-movement
 //     load balancing by linear programming, and LP-based cut refinement
 //     (the paper's IGP and IGPR variants);
-//   - three simplex implementations (dense tableau as in the paper,
-//     bounded-variable, and sparse revised) behind a pluggable, named
-//     Solver registry, plus a column-distributed parallel simplex;
+//   - LP solvers behind a pluggable, named Solver registry: a
+//     spanning-tree network simplex for the graph-shaped balance and
+//     refinement LPs (the default), the paper's dense tableau, a
+//     bounded-variable and a warm-started dual simplex, and an
+//     approximate multiplicative-weight solver; plus a
+//     column-distributed parallel simplex;
 //   - a message-passing machine simulator calibrated to a 32-node CM-5,
 //     with an SPMD parallel implementation of the whole pipeline; and
 //   - DIME-style adaptive triangular mesh generation (incremental

@@ -57,7 +57,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 func TestPublicAPISolverNames(t *testing.T) {
 	names := SolverNames()
-	for _, want := range []string{"bounded", "dense", "revised", "dual-warm"} {
+	for _, want := range []string{"network", "bounded", "dense", "dual-warm", "mwu"} {
 		found := false
 		for _, n := range names {
 			if n == want {
@@ -75,7 +75,7 @@ func TestPublicAPISolverNames(t *testing.T) {
 		&Assignment{Part: []int32{0, 0}, P: 1}, WithSolver("nope")); err == nil {
 		t.Fatal("unknown solver must error at Repartition")
 	}
-	for _, name := range []string{"dense", "bounded", "revised", "dual-warm"} {
+	for _, name := range []string{"dense", "bounded", "network", "revised", "dual-warm", "mwu"} {
 		if _, err := NewEngine(NewGraphWithVertices(2), WithSolver(name)); err != nil {
 			t.Fatalf("%q: %v", name, err)
 		}

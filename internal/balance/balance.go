@@ -133,8 +133,8 @@ func (ar *Arena) FormulateTol(delta [][]int, sizes, targets []int, eps float64, 
 	prob := &ar.prob
 	prob.Sense = lp.Minimize
 	prob.Names = nil
-	prob.Obj = lp.GrowFloats(prob.Obj, n)
-	prob.Upper = lp.GrowFloats(prob.Upper, n)
+	prob.Obj = lp.Grow(prob.Obj, n)
+	prob.Upper = lp.Grow(prob.Upper, n)
 	for v, pr := range pairs {
 		prob.Obj[v] = 1
 		prob.Upper[v] = float64(delta[pr[0]][pr[1]])

@@ -55,7 +55,7 @@ func MultilevelRepartition(ctx context.Context, g *graph.Graph, a *partition.Ass
 
 	solver := opt.Inner.Solver
 	if solver == nil {
-		solver = lp.Bounded{}
+		solver = lp.Default()
 	}
 	targets := partition.Targets(g.NumVertices(), a.P)
 	moved, err := coarsen.CoarseBalance(ctx, gc, ca, targets, solver, 1)

@@ -76,7 +76,7 @@ var ErrClosed = errors.New("core: engine closed; create a new engine")
 
 // Options configures an Engine (and the core.Repartition wrapper).
 type Options struct {
-	// Solver is the simplex implementation (nil = lp.Bounded{}). A
+	// Solver is the simplex implementation (nil = lp.Default()). A
 	// stateful solver implementing lp.SessionSolver (e.g. "dual-warm")
 	// is forked at New: the engine session holds a private instance so
 	// retained warm-start bases live exactly as long as the engine.
@@ -132,7 +132,7 @@ type Options struct {
 
 func (o Options) solver() lp.Solver {
 	if o.Solver == nil {
-		return lp.Bounded{}
+		return lp.Default()
 	}
 	return o.Solver
 }
@@ -200,10 +200,10 @@ type Stats struct {
 	// work threshold); zero on the sequential path and for LPs too small
 	// to be worth sharding. Results are bit-identical either way.
 	LPParallel int
-	// MWUFallbacks counts LP solves during this call that the
-	// approximate "mwu" solver delegated to its exact fallback (the
-	// instance was not graph shaped, or its quality bracket did not
-	// close within the iteration budget). Always zero for exact solvers.
+	// MWUFallbacks counts LP solves during this call that a solver with
+	// an exact fallback ("network", "mwu") delegated to it: the instance
+	// was not graph shaped, or an mwu quality bracket did not close
+	// within the iteration budget. Zero for the other solvers.
 	MWUFallbacks int
 	// WorkerBusy is the per-worker busy wall clock summed over every
 	// parallel region of the call (boundary sync, layering BFS, gain
@@ -355,6 +355,11 @@ type Engine struct {
 	flowBuf  []balance.Flow // per-stage flow arena (see balanceStage)
 	stats    Stats          // reused result arena; see Repartition
 
+	// refA is the assignment phase 4 is refining, read by refCut, the
+	// per-round cut poll built once so a call allocates no closure.
+	refA   *partition.Assignment
+	refCut func() float64
+
 	// V-cycle hierarchy, created lazily on the first multilevel
 	// Repartition and journal-repaired on later calls (nil when
 	// Options.Multilevel is disabled; dropped by Close).
@@ -401,10 +406,7 @@ const neverSeen int32 = -2
 // can warm a structurally identical later solve and vice versa.
 func New(g *graph.Graph, opt Options) *Engine {
 	e := &Engine{g: g, procs: opt.procs()}
-	base := opt.Solver
-	if base == nil {
-		base = lp.Bounded{}
-	}
+	base := opt.solver()
 	// Sessions get the engine's worker group: WithParallelism covers the
 	// LP kernels with zero call-site changes (see lp/parallel.go). The
 	// accuracy option configures approximate session solvers ("mwu");
@@ -1041,11 +1043,16 @@ func balanceStage(ctx context.Context, a *partition.Assignment, lay *layering.Re
 func (e *Engine) runRefine(ctx context.Context, a *partition.Assignment, opt refine.Options) (*refine.Stats, error) {
 	opt.Arena = &e.refArena
 	if !e.opt.FullRefresh {
-		opt.CutWeight = func() float64 { return e.cutWeight(a) }
+		if e.refCut == nil {
+			e.refCut = func() float64 { return e.cutWeight(e.refA) }
+		}
+		opt.CutWeight = e.refCut
 	}
+	e.refA = a
 	st, best, err := refine.Drive(ctx, e.g, a, opt, func(strict bool) (*refine.Candidates, error) {
 		return e.Gains(a, strict)
 	}, e.bestPart)
+	e.refA = nil
 	e.bestPart = best
 	return st, err
 }

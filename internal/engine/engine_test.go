@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/layering"
 	"repro/internal/lp"
+	"repro/internal/mesh"
 	"repro/internal/partition"
 	"repro/internal/refine"
 	"repro/internal/spectral"
@@ -395,6 +396,99 @@ func TestSteadyStateRefineFormulateAllocs(t *testing.T) {
 	}
 }
 
+// paperStep returns PaperMeshA's first refinement step and an RSB
+// partition of its base mesh: the paper's incremental workload, where
+// phase 1 assigns the new vertices and phases 3 and 4 solve balance and
+// refinement LPs.
+func paperStep(t *testing.T, p int) (*graph.Graph, *partition.Assignment) {
+	t.Helper()
+	seq, err := mesh.PaperSequenceA(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := spectral.RSB(seq.Base, p, spectral.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seq.Steps[0].Graph, &partition.Assignment{Part: part, P: p}
+}
+
+// TestSteadyStateDefaultRefineAllocs locks the default solver's
+// session-arena contract end to end, refinement included: a warm
+// WithRefine engine on a PaperMeshA step allocates nothing per call at
+// procs 1 and 4.
+func TestSteadyStateDefaultRefineAllocs(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		g, base := paperStep(t, 16)
+		e := New(g, Options{Refine: true, Parallelism: procs})
+		a := base.Clone()
+		if _, err := e.Repartition(context.Background(), a); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			a.Part = append(a.Part[:0], base.Part...)
+			if _, err := e.Repartition(context.Background(), a); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Fatalf("procs=%d: warm WithRefine Repartition allocates %.1f objects/op, want 0",
+				procs, allocs)
+		}
+	}
+}
+
+// TestDefaultSolverNativePath: every balance and refinement LP of a
+// PaperMeshA run is graph shaped, so the default solver answers all of
+// them on its tree path — no solve reaches its dual-warm fallback.
+func TestDefaultSolverNativePath(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		g, base := paperStep(t, 16)
+		e := New(g, Options{Refine: true, Parallelism: procs})
+		fs, ok := e.opt.Solver.(lp.FallbackSolver)
+		if !ok {
+			t.Fatalf("default session %T does not count fallbacks", e.opt.Solver)
+		}
+		if e.opt.RefineOptions.Solver != e.opt.Solver {
+			t.Fatal("refinement does not share the default session")
+		}
+		a := base.Clone()
+		for call := 0; call < 3; call++ {
+			a.Part = append(a.Part[:0], base.Part...)
+			st, err := e.Repartition(context.Background(), a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(st.Stages) == 0 || st.Refine == nil || len(st.Refine.RoundPivots) == 0 {
+				t.Fatalf("procs=%d call %d: no balance or refinement LPs solved", procs, call)
+			}
+			if st.MWUFallbacks != 0 {
+				t.Fatalf("procs=%d call %d: %d LP solves fell back", procs, call, st.MWUFallbacks)
+			}
+		}
+		if n := fs.Fallbacks(); n != 0 {
+			t.Fatalf("procs=%d: session fell back %d times, want 0", procs, n)
+		}
+	}
+}
+
+// TestNilSolverResolvesRegistryDefault: a nil solver means the
+// registry's default everywhere the default is chosen — the engine and
+// the refinement driver — so changing lp.DefaultSolverName moves them
+// all.
+func TestNilSolverResolvesRegistryDefault(t *testing.T) {
+	g, _ := editableGraph(t, 100, 4, 3)
+	if got := New(g, Options{}).opt.Solver.Name(); got != lp.DefaultSolverName {
+		t.Fatalf("nil-solver engine runs %q, want the default %q", got, lp.DefaultSolverName)
+	}
+	if got := (Options{}).solver().Name(); got != lp.DefaultSolverName {
+		t.Fatalf("engine Options resolve %q, want the default %q", got, lp.DefaultSolverName)
+	}
+	if got := (refine.Options{}).ResolveSolver().Name(); got != lp.DefaultSolverName {
+		t.Fatalf("nil-solver refine.Drive runs %q, want the default %q", got, lp.DefaultSolverName)
+	}
+}
+
 // TestSteadyStateMWURepartitionAllocs locks the approximate solver's
 // session-arena contract end to end: steady-state Repartition cycles
 // through a warm engine running the "mwu" solver must allocate nothing,
@@ -517,8 +611,8 @@ func TestEngineForksSessionSolvers(t *testing.T) {
 		t.Fatalf("refine session lost its configuration: MaxIter %d, want 1234", rf.MaxIter)
 	}
 	// Stateless solvers pass through untouched.
-	e4 := New(g1, Options{Solver: lp.Revised{}})
-	if e4.opt.Solver != (lp.Revised{}) {
+	e4 := New(g1, Options{Solver: lp.Dense{}})
+	if e4.opt.Solver != (lp.Dense{}) {
 		t.Fatalf("stateless solver was wrapped: %T", e4.opt.Solver)
 	}
 }

@@ -186,14 +186,14 @@ func (st *boundedState) build(p *Problem) {
 	st.flip = p.Sense == Maximize
 	st.iters = 0
 	st.rows = growRows(st.rows, m, st.nCols)
-	st.xB = growF(st.xB, m)
-	st.basis = growI(st.basis, m)
-	st.atUpper = growB(st.atUpper, st.nCols)
-	st.basic = growB(st.basic, st.nCols)
-	st.upper = growF(st.upper, st.nCols)
-	st.origCost = growF(st.origCost, st.nCols)
-	st.p1cost = growF(st.p1cost, st.nCols)
-	st.d = growF(st.d, st.nCols)
+	st.xB = Grow(st.xB, m)
+	st.basis = Grow(st.basis, m)
+	st.atUpper = Grow(st.atUpper, st.nCols)
+	st.basic = Grow(st.basic, st.nCols)
+	st.upper = Grow(st.upper, st.nCols)
+	st.origCost = Grow(st.origCost, st.nCols)
+	st.p1cost = Grow(st.p1cost, st.nCols)
+	st.d = Grow(st.d, st.nCols)
 	for j := 0; j < st.nCols; j++ {
 		st.atUpper[j] = false
 		st.upper[j] = Inf
@@ -463,14 +463,14 @@ func (st *boundedState) expelArtificials() {
 }
 
 // finish extracts the finished state into the session's Solution arena
-// (X is zeroed explicitly — growF does not zero).
+// (X is zeroed explicitly — Grow does not zero).
 func (s *boundedSession) finish(status Status) *Solution {
 	st := &s.st
 	s.sol = Solution{Status: status, Iterations: st.iters}
 	if status != Optimal {
 		return &s.sol
 	}
-	s.solX = growF(s.solX, st.nStruct)
+	s.solX = Grow(s.solX, st.nStruct)
 	x := s.solX
 	for j := range x {
 		x[j] = 0

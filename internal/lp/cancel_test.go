@@ -38,7 +38,7 @@ func TestSolveCanceled(t *testing.T) {
 // including MustRegister's panic contract — are covered by the table in
 // TestRegisterRejections (registry_test.go).
 func TestRegistryRoundTrip(t *testing.T) {
-	for _, name := range []string{"dense", "bounded", "revised", "dual-warm", ""} {
+	for _, name := range []string{"dense", "bounded", "network", "revised", "dual-warm", ""} {
 		s, err := Lookup(name)
 		if err != nil {
 			t.Fatalf("%q: %v", name, err)
@@ -53,6 +53,10 @@ func TestRegistryRoundTrip(t *testing.T) {
 	}
 	if def.Name() != DefaultSolverName {
 		t.Fatalf("default solver is %q, want %q", def.Name(), DefaultSolverName)
+	}
+	// The retired "revised" name is an alias of the default.
+	if s, _ := Lookup("revised"); s.Name() != DefaultSolverName {
+		t.Fatalf("revised resolves to %q, want the default %q", s.Name(), DefaultSolverName)
 	}
 	if _, err := Lookup("no-such-solver"); err == nil {
 		t.Fatal("unknown name must error")

@@ -237,15 +237,15 @@ func (st *dwScratch) build(p *Problem) {
 	st.n, st.m, st.nCols = n, m, n+m
 	st.flip = p.Sense == Maximize
 	st.rows = growRows(st.rows, m, st.nCols)
-	st.rhs = growF(st.rhs, m)
-	st.xB = growF(st.xB, m)
-	st.d = growF(st.d, st.nCols)
-	st.cost = growF(st.cost, st.nCols)
-	st.upper = growF(st.upper, st.nCols)
-	st.basis = growI(st.basis, m)
-	st.atUpper = growB(st.atUpper, st.nCols)
-	st.inBasis = growB(st.inBasis, st.nCols)
-	st.rowDone = growB(st.rowDone, m)
+	st.rhs = Grow(st.rhs, m)
+	st.xB = Grow(st.xB, m)
+	st.d = Grow(st.d, st.nCols)
+	st.cost = Grow(st.cost, st.nCols)
+	st.upper = Grow(st.upper, st.nCols)
+	st.basis = Grow(st.basis, m)
+	st.atUpper = Grow(st.atUpper, st.nCols)
+	st.inBasis = Grow(st.inBasis, st.nCols)
+	st.rowDone = Grow(st.rowDone, m)
 	st.iters = 0
 
 	copy(st.upper, p.Upper)
@@ -385,7 +385,7 @@ func (s *DualWarm) solveWarm(ctx context.Context, p *Problem, e *dwEntry) (sol *
 // elimination runs through the column-sharded kernel.
 func (st *dwScratch) refactorize(pp *lpPar) bool {
 	m := st.m
-	st.pairing = growI(st.pairing, m)
+	st.pairing = Grow(st.pairing, m)
 	for i := 0; i < m; i++ {
 		st.rowDone[i] = false
 	}
@@ -590,7 +590,7 @@ func (st *dwScratch) clampXB(i int) {
 }
 
 // result extracts the finished scratch state into the solver's Solution
-// arena (growF does not zero, so X is cleared explicitly — the contract
+// arena (Grow does not zero, so X is cleared explicitly — the contract
 // the old per-solve make() provided implicitly).
 func (s *DualWarm) result(status Status) *Solution {
 	st := &s.scr
@@ -598,7 +598,7 @@ func (s *DualWarm) result(status Status) *Solution {
 	if status != Optimal {
 		return &s.sol
 	}
-	s.solX = growF(s.solX, st.n)
+	s.solX = Grow(s.solX, st.n)
 	x := s.solX
 	for j := range x {
 		x[j] = 0
@@ -625,36 +625,20 @@ func (s *DualWarm) result(status Status) *Solution {
 	return &s.sol
 }
 
-// GrowFloats resizes a reusable float slice to length n without
-// shrinking capacity, allocating only on growth. Shared by the solver
-// scratch here and the balance/refine formulation arenas — one copy,
-// so a future change to the growth policy cannot drift between them.
-// Values beyond a previous length are stale and must be overwritten.
-func GrowFloats(s []float64, n int) []float64 {
+// Grow resizes a reusable slice to length n without shrinking
+// capacity, allocating only on growth. It is the one resize helper for
+// the solver scratch here and the balance/refine formulation arenas, so
+// the growth policy cannot drift between them. Values beyond a previous
+// length are stale and must be overwritten.
+func Grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
-// growF/growI/growB/growRows resize reusable scratch slices without
-// shrinking capacity.
-func growF(s []float64, n int) []float64 { return GrowFloats(s, n) }
-
-func growI(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growB(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
+// growRows resizes a reusable row-major matrix without shrinking
+// capacity.
 func growRows(rows [][]float64, m, nCols int) [][]float64 {
 	if cap(rows) < m {
 		grown := make([][]float64, m)
@@ -663,7 +647,7 @@ func growRows(rows [][]float64, m, nCols int) [][]float64 {
 	}
 	rows = rows[:m]
 	for i := range rows {
-		rows[i] = growF(rows[i], nCols)
+		rows[i] = Grow(rows[i], nCols)
 	}
 	return rows
 }

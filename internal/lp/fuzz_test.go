@@ -340,3 +340,117 @@ func decodeLP(data []byte) *Problem {
 	}
 	return p
 }
+
+// FuzzNetworkFlowAgreement feeds randomized graph-shaped LPs — the
+// node–arc form the balance and refine phases emit — to a "network"
+// session and pins it against the paper's dense tableau: statuses and
+// optima agree, Optimal flows are integral and feasible, and every solve
+// took the tree path rather than the dual-warm fallback.
+func FuzzNetworkFlowAgreement(f *testing.F) {
+	f.Add([]byte{3, 6, 0, 1, 1, 0, 1, 3, 1, 2, 0, 2, 1, 4, 2, 0, 1, 0, 2, 3, 1, 0, 2, 1})
+	f.Add([]byte{1, 9, 1, 2, 4, 0, 1, 3, 1, 2, 9, 2, 0, 1, 1, 1, 2, 0, 4, 7, 7})
+	f.Add([]byte{10, 40, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17})
+	f.Add([]byte{0, 2, 1, 3, 0, 0, 0, 1, 1, 3, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := decodeFlowLP(data)
+		if p == nil {
+			return
+		}
+		ref, err := Dense{}.Solve(context.Background(), p)
+		if err != nil {
+			t.Fatalf("dense: %v", err)
+		}
+		if ref.Status == IterLimit {
+			return
+		}
+		ses := Session(Network{}).(*networkSession)
+		sol, err := ses.Solve(context.Background(), p)
+		if err != nil {
+			t.Fatalf("network: %v", err)
+		}
+		if ses.fallbacks != 0 || ses.native != 1 {
+			t.Fatalf("network: native %d, fallbacks %d; want the tree path", ses.native, ses.fallbacks)
+		}
+		if sol.Status != ref.Status {
+			t.Fatalf("network: status %v, want %v", sol.Status, ref.Status)
+		}
+		if ref.Status != Optimal {
+			return
+		}
+		if math.Abs(sol.Objective-ref.Objective) > 1e-6*(1+math.Abs(ref.Objective)) {
+			t.Fatalf("network: objective %g, want %g", sol.Objective, ref.Objective)
+		}
+		for j, x := range sol.X {
+			if x != math.Trunc(x) {
+				t.Fatalf("network: x[%d] = %g is not integral", j, x)
+			}
+		}
+		if err := CheckFeasible(p, sol.X, 0); err != nil {
+			t.Fatalf("network: optimal but infeasible: %v", err)
+		}
+	})
+}
+
+// decodeFlowLP deterministically builds a graph-shaped LP from fuzz
+// bytes: 2–12 nodes and ±1 arcs between them (some with an endpoint in
+// no row, which is the free endpoint), integral bounds including 0, one
+// objective coefficient of either sign under either sense, and per-node
+// rows of every shape the detector accepts — EQ rows, adjacent GE/LE
+// pairs sharing one term slice, single LE or GE rows — plus empty rows
+// with a nonzero right-hand side. Returns nil when there is not enough
+// entropy.
+func decodeFlowLP(data []byte) *Problem {
+	if len(data) < 8 {
+		return nil
+	}
+	next := func() int {
+		if len(data) == 0 {
+			return 1
+		}
+		v := int(data[0])
+		data = data[1:]
+		return v
+	}
+	nodes := 2 + next()%11
+	narcs := 1 + next()%(4*nodes)
+	sense := Minimize
+	if next()%2 == 1 {
+		sense = Maximize
+	}
+	gamma := float64(next()%4 - 1)
+	p := NewProblem(sense, narcs)
+	rows := make([][]Term, nodes)
+	for a := 0; a < narcs; a++ {
+		p.SetObjective(a, gamma)
+		p.SetUpper(a, float64(next()%6))
+		tl := next() % (nodes + 1) // nodes = free endpoint
+		hd := next() % (nodes + 1)
+		if tl < nodes {
+			rows[tl] = append(rows[tl], Term{Var: a, Coef: 1})
+		}
+		if hd < nodes {
+			rows[hd] = append(rows[hd], Term{Var: a, Coef: -1})
+		}
+	}
+	for g := 0; g < nodes; g++ {
+		if len(rows[g]) == 0 {
+			if next()%4 == 0 {
+				p.AddConstraint(nil, EQ, float64(next()%3-1))
+			}
+			continue
+		}
+		switch next() % 4 {
+		case 0:
+			p.AddConstraint(rows[g], EQ, float64(next()%7-3))
+		case 1:
+			lo := float64(next()%7 - 3)
+			p.AddConstraint(rows[g], GE, lo)
+			p.AddConstraint(rows[g], LE, lo+float64(next()%4))
+		case 2:
+			p.AddConstraint(rows[g], LE, float64(next()%7-3))
+		default:
+			p.AddConstraint(rows[g], GE, float64(next()%7-3))
+		}
+	}
+	return p
+}

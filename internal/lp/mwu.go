@@ -259,7 +259,7 @@ func (s *MWU) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 		Iterations: s.inst.iters + isol.Iterations,
 	}
 	if isol.Status == Optimal {
-		s.solX = growF(s.solX, len(isol.X))
+		s.solX = Grow(s.solX, len(isol.X))
 		copy(s.solX, isol.X)
 		s.sol.X = s.solX
 	}
@@ -271,7 +271,7 @@ func (s *MWU) Solve(ctx context.Context, p *Problem) (*Solution, error) {
 func (s *MWU) result(status Status, x []float64, obj float64) *Solution {
 	s.sol = Solution{Status: status, Objective: obj, Iterations: s.inst.iters}
 	if status == Optimal {
-		s.solX = growF(s.solX, len(x))
+		s.solX = Grow(s.solX, len(x))
 		copy(s.solX, x)
 		s.sol.X = s.solX
 	}
@@ -284,11 +284,11 @@ func (s *MWU) solveMWU(ctx context.Context, p *Problem) (sol *Solution, done boo
 	in := &s.inst
 	in.iters = 0
 	in.hasBest = false
-	ok, infeasible := in.normalize(p)
+	ok, infeasible := in.detect(p)
 	if infeasible {
 		return s.result(Infeasible, nil, 0), true, nil
 	}
-	if !ok {
+	if !ok || in.gamma < 0 {
 		return nil, false, nil
 	}
 	in.prepare()
@@ -449,14 +449,7 @@ func (s *MWU) runTarget(ctx context.Context, t float64, budget int) (int, error)
 // mwuInst is the normalized graph instance plus every iteration arena,
 // grown to the largest solve seen so warm solves allocate nothing.
 type mwuInst struct {
-	n     int // arcs (variables)
-	nodes int // real divergence nodes; index nodes is the virtual free endpoint
-	sense Sense
-	gamma float64 // uniform objective coefficient, ≥ 0
-
-	tail, head []int32   // per arc (virtual endpoint = nodes)
-	u          []float64 // per-arc integral upper bound
-	lo, hi     []float64 // per-node divergence interval (±Inf = open side)
+	flowLP // the detected instance; the MWU path needs gamma ≥ 0
 
 	// Incidence CSR over nodes+1: entry a<<1|1 marks "arc a leaves this
 	// node" (adds +x to its divergence), a<<1 marks "arrives" (−x).
@@ -495,138 +488,11 @@ type mwuInst struct {
 	iters int // MWU iterations this solve
 }
 
-// normalize detects the graph shape and fills the instance.
-// ok=false: not graph shaped (fall back). infeasible=true: a constraint
-// row is a proven contradiction on its own (exact Infeasible).
-func (in *mwuInst) normalize(p *Problem) (ok, infeasible bool) {
-	n := p.NumVars()
-	in.n = n
-	in.sense = p.Sense
-	in.gamma = 0
-	if n > 0 {
-		g0 := p.Obj[0]
-		if g0 < 0 || math.IsNaN(g0) || math.IsInf(g0, 0) {
-			return false, false
-		}
-		for _, c := range p.Obj[1:] {
-			if c != g0 {
-				return false, false
-			}
-		}
-		in.gamma = g0
-	}
-	in.u = growF(in.u, n)
-	for j, ub := range p.Upper {
-		if math.IsInf(ub, 1) {
-			return false, false
-		}
-		r := math.Round(ub)
-		if math.Abs(ub-r) > 1e-6 {
-			return false, false
-		}
-		in.u[j] = r
-	}
-	in.tail = growI32(in.tail, n)
-	in.head = growI32(in.head, n)
-	for j := 0; j < n; j++ {
-		in.tail[j] = -1
-		in.head[j] = -1
-	}
-
-	mRows := len(p.Cons)
-	in.lo = growF(in.lo, mRows)
-	in.hi = growF(in.hi, mRows)
-	nodes := 0
-	for i := 0; i < mRows; {
-		// A run of adjacent rows sharing identical terms (the balance
-		// phase's GE/LE slack pair) merges into one interval node.
-		k := i + 1
-		for k < mRows && mwuSameTerms(p.Cons[i].Terms, p.Cons[k].Terms) {
-			k++
-		}
-		lo, hi := math.Inf(-1), math.Inf(1)
-		for r := i; r < k; r++ {
-			c := &p.Cons[r]
-			b := math.Round(c.RHS)
-			if math.Abs(c.RHS-b) > 1e-6 {
-				return false, false
-			}
-			switch c.Rel {
-			case EQ:
-				lo = math.Max(lo, b)
-				hi = math.Min(hi, b)
-			case LE:
-				hi = math.Min(hi, b)
-			case GE:
-				lo = math.Max(lo, b)
-			}
-		}
-		if len(p.Cons[i].Terms) == 0 {
-			// Empty row: the sum over no arcs is 0, so the row is
-			// vacuous when 0 lies in the interval and a contradiction
-			// otherwise (the balance phase emits exactly such rows for
-			// deliberately infeasible stages).
-			if lo > 0 || hi < 0 {
-				return false, true
-			}
-			i = k
-			continue
-		}
-		if lo > hi {
-			return false, true
-		}
-		g := int32(nodes)
-		for _, tm := range p.Cons[i].Terms {
-			switch tm.Coef {
-			case 1:
-				if in.tail[tm.Var] != -1 {
-					return false, false
-				}
-				in.tail[tm.Var] = g
-			case -1:
-				if in.head[tm.Var] != -1 {
-					return false, false
-				}
-				in.head[tm.Var] = g
-			default:
-				return false, false
-			}
-		}
-		in.lo[nodes], in.hi[nodes] = lo, hi
-		nodes++
-		i = k
-	}
-	in.nodes = nodes
-	free := int32(nodes)
-	for j := 0; j < n; j++ {
-		if in.tail[j] == -1 {
-			in.tail[j] = free
-		}
-		if in.head[j] == -1 {
-			in.head[j] = free
-		}
-	}
-	return true, false
-}
-
-// mwuSameTerms reports element-wise equality of two sparse rows.
-func mwuSameTerms(a, b []Term) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // prepare builds the incidence CSR, the per-node bound sums and the
 // per-node inverse widths for the current normalized instance.
 func (in *mwuInst) prepare() {
 	n, nn := in.n, in.nodes+1
-	in.incPtr = growI32(in.incPtr, nn+1)
+	in.incPtr = Grow(in.incPtr, nn+1)
 	for g := 0; g <= nn; g++ {
 		in.incPtr[g] = 0
 	}
@@ -637,8 +503,8 @@ func (in *mwuInst) prepare() {
 	for g := 0; g < nn; g++ {
 		in.incPtr[g+1] += in.incPtr[g]
 	}
-	in.incAdj = growI32(in.incAdj, 2*n)
-	in.cnt = growI32(in.cnt, nn)
+	in.incAdj = Grow(in.incAdj, 2*n)
+	in.cnt = Grow(in.cnt, nn)
 	copy(in.cnt[:nn], in.incPtr[:nn])
 	for a := 0; a < n; a++ {
 		tg, hg := in.tail[a], in.head[a]
@@ -648,8 +514,8 @@ func (in *mwuInst) prepare() {
 		in.cnt[hg]++
 	}
 
-	in.sumOutU = growF(in.sumOutU, nn)
-	in.sumInU = growF(in.sumInU, nn)
+	in.sumOutU = Grow(in.sumOutU, nn)
+	in.sumInU = Grow(in.sumInU, nn)
 	for g := 0; g < nn; g++ {
 		in.sumOutU[g] = 0
 		in.sumInU[g] = 0
@@ -661,8 +527,8 @@ func (in *mwuInst) prepare() {
 		in.sumU += in.u[a]
 	}
 
-	in.invRhoLo = growF(in.invRhoLo, in.nodes)
-	in.invRhoUp = growF(in.invRhoUp, in.nodes)
+	in.invRhoLo = Grow(in.invRhoLo, in.nodes)
+	in.invRhoUp = Grow(in.invRhoUp, in.nodes)
 	for g := 0; g < in.nodes; g++ {
 		in.invRhoUp[g] = 0
 		if !math.IsInf(in.hi[g], 1) {
@@ -677,19 +543,19 @@ func (in *mwuInst) prepare() {
 	}
 
 	nb := (n + mwuBlockSize - 1) / mwuBlockSize
-	in.blkNeg = growF(in.blkNeg, nb)
-	in.blkFlow = growF(in.blkFlow, nb)
-	in.blkMag = growF(in.blkMag, nb)
-	in.wLo = growF(in.wLo, in.nodes)
-	in.wUp = growF(in.wUp, in.nodes)
-	in.sNode = growF(in.sNode, nn)
-	in.div = growF(in.div, in.nodes)
-	in.xcur = growF(in.xcur, n)
-	in.xsum = growF(in.xsum, n)
-	in.xbest = growF(in.xbest, n)
-	in.xtry = growF(in.xtry, n)
-	in.visited = growU32(in.visited, nn)
-	in.parent = growI32(in.parent, nn)
+	in.blkNeg = Grow(in.blkNeg, nb)
+	in.blkFlow = Grow(in.blkFlow, nb)
+	in.blkMag = Grow(in.blkMag, nb)
+	in.wLo = Grow(in.wLo, in.nodes)
+	in.wUp = Grow(in.wUp, in.nodes)
+	in.sNode = Grow(in.sNode, nn)
+	in.div = Grow(in.div, in.nodes)
+	in.xcur = Grow(in.xcur, n)
+	in.xsum = Grow(in.xsum, n)
+	in.xbest = Grow(in.xbest, n)
+	in.xtry = Grow(in.xtry, n)
+	in.visited = Grow(in.visited, nn)
+	in.parent = Grow(in.parent, nn)
 	if cap(in.queue) < nn {
 		in.queue = make([]int32, 0, nn)
 	}
@@ -1191,18 +1057,4 @@ func (s *MWU) runDiv() {
 		}
 	}
 	in.divRange(0, in.nodes, in.xcur)
-}
-
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growU32(s []uint32, n int) []uint32 {
-	if cap(s) < n {
-		return make([]uint32, n)
-	}
-	return s[:n]
 }

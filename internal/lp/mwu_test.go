@@ -110,7 +110,7 @@ func TestMWURegistryAndAccuracy(t *testing.T) {
 		t.Fatalf("WithAccuracy(-1) changed accuracy to %g", got)
 	}
 	// Exact solvers ignore the option.
-	if got := Session(Revised{}, WithAccuracy(0.02)); got != (Revised{}) {
+	if got := Session(Dense{}, WithAccuracy(0.02)); got != (Dense{}) {
 		t.Fatalf("stateless solver changed by WithAccuracy: %T", got)
 	}
 }

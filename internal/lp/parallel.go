@@ -187,15 +187,15 @@ func (pp *lpPar) begin(m, nCols int, rows [][]float64, d, upper []float64, inBas
 	pp.upper = upper
 	pp.inBasis = inBasis
 	pp.atUpper = atUpper
-	pp.fvec = growF(pp.fvec, m)
-	pp.cbv = growF(pp.cbv, m)
+	pp.fvec = Grow(pp.fvec, m)
+	pp.cbv = Grow(pp.cbv, m)
 	pp.task.pp = pp
 
 	pp.forked = false
 	pp.canFork = pp.grp != nil && pp.procs > 1
 	if pp.canFork {
-		pp.wVal = growF(pp.wVal, pp.procs)
-		pp.wIdx = growI(pp.wIdx, pp.procs)
+		pp.wVal = Grow(pp.wVal, pp.procs)
+		pp.wIdx = Grow(pp.wIdx, pp.procs)
 	}
 }
 

@@ -155,7 +155,7 @@ func TestSessionWithWorkers(t *testing.T) {
 		t.Fatal("WithWorkers leaked into the registered template")
 	}
 	// Stateless, non-parallel solver: option silently ignored.
-	if s := Session(Revised{}, WithWorkers(&grp, 4)); s != (Revised{}) {
+	if s := Session(Dense{}, WithWorkers(&grp, 4)); s != (Dense{}) {
 		t.Fatalf("stateless solver changed by WithWorkers: %T", s)
 	}
 }

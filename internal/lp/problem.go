@@ -1,6 +1,10 @@
 // Package lp implements the linear-programming layer of the incremental
-// partitioner: a small modeling API plus four simplex solvers.
+// partitioner: a small modeling API plus the registered solvers.
 //
+//   - Network (the default): a spanning-tree network simplex over integer
+//     flows, for the graph-shaped LPs the balance and refine phases emit
+//     (flows on the partition quotient graph). Anything else goes to
+//     DualWarm.
 //   - Dense: the classical two-phase dense-tableau simplex. This is the
 //     solver the paper uses ("We have used a dense version of simplex
 //     algorithm").
@@ -8,19 +12,18 @@
 //     instead of materializing upper bounds as rows — the natural
 //     improvement for the paper's LPs, whose constraint count is dominated
 //     by bounds.
-//   - Revised: a sparse revised simplex with an explicit basis inverse,
-//     realizing the paper's observation that "the matrix is highly sparse
-//     [and] this cost can be substantially reduced by using a sparse
-//     representation".
 //   - DualWarm: a warm-started bounded-variable dual simplex that retains
 //     the optimal basis of each LP structure it solves and resumes from it
 //     when a later problem differs only in RHS, bounds or costs — the
 //     incremental shape of the pipeline's successive balance stages and
 //     refinement rounds.
+//   - MWU: an approximate multiplicative-weight-update solver for the
+//     same graph-shaped LPs, certified within (1+eps) or delegated to an
+//     exact session.
 //
-// All solvers return basic optimal solutions; on the network-flow-shaped
-// problems built by the balance and refine phases those are integral by
-// total unimodularity.
+// The exact solvers return basic optimal solutions; on the
+// network-flow-shaped problems built by the balance and refine phases
+// those are integral by total unimodularity.
 package lp
 
 import (

@@ -16,14 +16,30 @@ var (
 )
 
 // DefaultSolverName is the solver used when no name is given.
-const DefaultSolverName = "bounded"
+const DefaultSolverName = "network"
+
+// aliases maps retired solver names to the registered names they now
+// resolve to. "revised" (a sparse revised simplex, slowest at every size
+// measured) was removed; the name selects the default solver.
+var aliases = map[string]string{"revised": DefaultSolverName}
 
 func init() {
 	MustRegister("dense", Dense{})
 	MustRegister("bounded", Bounded{})
-	MustRegister("revised", Revised{})
+	MustRegister("network", Network{})
 	MustRegister("dual-warm", NewDualWarm())
 	MustRegister("mwu", NewMWU())
+}
+
+// Default returns the registered default solver, DefaultSolverName.
+// Every caller that falls back to a default when given a nil solver
+// resolves it here, so changing DefaultSolverName moves them all.
+func Default() Solver {
+	s, err := Lookup(DefaultSolverName)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 // SessionSolver is implemented by stateful solvers whose state should
@@ -68,7 +84,7 @@ func Register(name string, s Solver) error {
 	}
 	registryMu.Lock()
 	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
+	if _, dup := registry[name]; dup || aliases[name] != "" {
 		return fmt.Errorf("lp: register %q: already registered", name)
 	}
 	registry[name] = s
@@ -82,11 +98,15 @@ func MustRegister(name string, s Solver) {
 	}
 }
 
-// Lookup resolves a solver by name; "" selects DefaultSolverName. The
-// error lists the registered names so a typo is self-diagnosing.
+// Lookup resolves a solver by name; "" selects DefaultSolverName, and a
+// retired name resolves through its alias. The error lists the
+// registered names so a typo is self-diagnosing.
 func Lookup(name string) (Solver, error) {
 	if name == "" {
 		name = DefaultSolverName
+	}
+	if to := aliases[name]; to != "" {
+		name = to
 	}
 	registryMu.RLock()
 	s, ok := registry[name]

@@ -275,16 +275,18 @@ func (s *Scratch) finish() {
 
 // LPArena owns the reusable buffers of the refinement-LP formulation:
 // the Problem's objective/bound/constraint storage and the pair
-// mapping. Buffers grow to the largest round seen and are then reused,
-// so steady-state formulation through a warm engine allocates nothing.
-// The Problem and pair slice returned by Formulate are owned by the
-// arena and invalidated by its next call. The zero value is ready.
+// mapping, plus the report [Drive] returns. Buffers grow to the largest
+// round seen and are then reused, so steady-state refinement through a
+// warm engine allocates nothing. The Problem and pair slice returned by
+// Formulate, and the Stats returned by Drive, are owned by the arena
+// and invalidated by its next call. The zero value is ready.
 type LPArena struct {
-	prob  lp.Problem
-	pairs [][2]int32
-	terms []lp.Term
-	spans []int // (start, end) offsets into terms, two per constraint
-	cons  []lp.Constraint
+	prob   lp.Problem
+	pairs  [][2]int32
+	terms  []lp.Term
+	spans  []int // (start, end) offsets into terms, two per constraint
+	cons   []lp.Constraint
+	report Stats
 }
 
 // Formulate is the arena-backed form of the package-level [Formulate]:
@@ -304,8 +306,8 @@ func (ar *LPArena) Formulate(c *Candidates) (*lp.Problem, [][2]int32) {
 	prob := &ar.prob
 	prob.Sense = lp.Maximize
 	prob.Names = nil
-	prob.Obj = lp.GrowFloats(prob.Obj, n)
-	prob.Upper = lp.GrowFloats(prob.Upper, n)
+	prob.Obj = lp.Grow(prob.Obj, n)
+	prob.Upper = lp.Grow(prob.Upper, n)
 	for v, pr := range pairs {
 		prob.Obj[v] = 1
 		prob.Upper[v] = float64(c.B[pr[0]][pr[1]])
@@ -386,15 +388,16 @@ type Options struct {
 	// this many rounds (0 = default 2; the paper recommends the switch
 	// "after a few steps").
 	StrictAfter int
-	// Solver picks the simplex implementation (nil = lp.Bounded).
+	// Solver picks the simplex implementation (nil = lp.Default()).
 	Solver lp.Solver
 	// OnRound, if non-nil, is invoked after each applied round with the
 	// 1-based round number and the vertices moved — the observability hook
 	// the engine turns into stage events.
 	OnRound func(round, moved int)
-	// Arena, if non-nil, receives the per-round LP formulations (reused
-	// buffers, zero steady-state allocation). The engine passes its own;
-	// one-shot callers leave it nil and get fresh formulations.
+	// Arena, if non-nil, receives the per-round LP formulations and
+	// Drive's report (reused buffers, zero steady-state allocation). The
+	// engine passes its own; one-shot callers leave it nil and get fresh
+	// formulations and a fresh report.
 	Arena *LPArena
 	// CutWeight, if non-nil, replaces the driver's per-round
 	// partition.Cut(g, a).TotalWeight rescan with an equivalent cheaper
@@ -424,7 +427,7 @@ func (o Options) StrictAfterRounds() int {
 // ResolveSolver returns Solver with the default applied.
 func (o Options) ResolveSolver() lp.Solver {
 	if o.Solver == nil {
-		return lp.Bounded{}
+		return lp.Default()
 	}
 	return o.Solver
 }
@@ -471,7 +474,13 @@ func Drive(ctx context.Context, g *graph.Graph, a *partition.Assignment, opt Opt
 	if cutWeight == nil {
 		cutWeight = func() float64 { return partition.Cut(g, a).TotalWeight }
 	}
-	st := &Stats{}
+	var st *Stats
+	if opt.Arena != nil {
+		st = &opt.Arena.report
+		*st = Stats{RoundPivots: st.RoundPivots[:0]}
+	} else {
+		st = &Stats{}
+	}
 	st.CutBefore = cutWeight()
 	best := append(bestBuf[:0], a.Part...)
 	bestCut := st.CutBefore

@@ -106,10 +106,16 @@ func WithRefineRounds(n int) Option {
 	}
 }
 
-// WithSolver selects the LP solver by registry name: "bounded" (the
-// default), "dense", "revised", "dual-warm", "mwu", or anything added
+// WithSolver selects the LP solver by registry name: "network" (the
+// default), "dense", "bounded", "dual-warm", "mwu", or anything added
 // via [RegisterSolver]. Unknown names fail at NewEngine/Repartition
-// time.
+// time. "revised", a removed solver, is an alias of the default.
+//
+// "network" is a spanning-tree network simplex over integer flows: the
+// balance and refinement LPs are flows on the partition quotient graph,
+// so it pivots a tree of P+1 nodes instead of a tableau. Any LP that is
+// not graph shaped goes to a private "dual-warm" session
+// ([Stats.MWUFallbacks] counts those).
 //
 // "dual-warm" is the warm-started dual simplex: it retains the optimal
 // basis of each LP structure it solves and resumes from it when a later
@@ -388,9 +394,10 @@ type SolverName string
 
 // Available built-in simplex implementations.
 const (
+	SolverNetwork SolverName = "network" // spanning-tree network simplex (default)
 	SolverDense   SolverName = "dense"   // the paper's dense tableau
-	SolverBounded SolverName = "bounded" // implicit variable bounds (default)
-	SolverRevised SolverName = "revised" // sparse revised simplex
+	SolverBounded SolverName = "bounded" // implicit variable bounds
+	SolverRevised SolverName = "revised" // removed; an alias of the default
 )
 
 // Options is the legacy flat configuration struct.
@@ -401,7 +408,7 @@ const (
 type Options struct {
 	// Refine enables the cut-refinement phase (the paper's IGPR).
 	Refine bool
-	// Solver picks the simplex implementation (default bounded).
+	// Solver picks the simplex implementation (default network).
 	Solver SolverName
 	// EpsilonMax bounds the balance relaxation factor ε (default 8).
 	EpsilonMax float64

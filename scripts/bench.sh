@@ -22,7 +22,7 @@ cd "$(dirname "$0")/.."
 
 idx="${1:-1}"
 out="BENCH_${idx}.json"
-filter="${BENCH_FILTER:-BenchmarkPhase_|BenchmarkRefine_|BenchmarkEngine_|BenchmarkFig11_IGP}"
+filter="${BENCH_FILTER:-BenchmarkPhase_|BenchmarkRefine_|BenchmarkEngine_|BenchmarkFig11_IGP|BenchmarkSimplex_}"
 if [ "${BENCH_SMOKE:-0}" = "1" ]; then
     benchtime="${BENCH_TIME:-10x}"
     : "${BENCH_SKIP_RACE:=1}"
@@ -60,10 +60,11 @@ echo "$phases"
 
 # Per-solver phase/pivot rows: the same workload under every built-in
 # simplex, so the trajectory records warm ("dual-warm") vs cold pivot
-# counts side by side. The bounded row reuses the record measured above.
+# counts side by side. The default solver's ("network") row reuses the
+# record measured above.
 echo "== per-solver phase timings =="
 solver_rows="$phases"
-for s in dense revised dual-warm mwu; do
+for s in dense bounded dual-warm mwu; do
     row="$(go run ./cmd/igpbench -table phases -solver "$s")"
     echo "$row"
     solver_rows="$solver_rows,

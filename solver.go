@@ -12,8 +12,8 @@ import (
 // (wrap the cause from context.Cause) once it is done.
 //
 // Register an implementation with [RegisterSolver] and select it with
-// [WithSolver]; the built-ins ("dense", "bounded", "revised", the
-// warm-started "dual-warm" and the approximate "mwu") register
+// [WithSolver]; the built-ins (the default "network", "dense", "bounded",
+// the warm-started "dual-warm" and the approximate "mwu") register
 // themselves at init.
 type Solver = lp.Solver
 
@@ -51,8 +51,9 @@ const (
 func RegisterSolver(name string, s Solver) error { return lp.Register(name, s) }
 
 // SolverNames returns the names of all registered solvers in sorted
-// order: the built-ins "bounded" (the default), "dense", "revised",
-// "dual-warm" and "mwu", plus anything added via RegisterSolver.
+// order: the built-ins "network" (the default), "dense", "bounded",
+// "dual-warm" and "mwu", plus anything added via RegisterSolver. The
+// alias "revised" resolves in [WithSolver] but is not listed.
 func SolverNames() []string { return lp.Names() }
 
 // ErrCanceled is the sentinel every context-driven abort matches:

@@ -92,11 +92,11 @@ type Stats struct {
 	// and for LPs too small to be worth sharding; solutions are
 	// bit-identical either way.
 	LPParallel int
-	// MWUFallbacks counts LP solves during this call that the
-	// approximate "mwu" solver handed to its exact fallback because the
-	// instance was not graph-shaped or its quality bracket did not close
-	// within the iteration budget (see [WithAccuracy]). It is zero for
-	// the exact solvers.
+	// MWUFallbacks counts LP solves during this call that a solver with
+	// an exact fallback handed to it: "network" for an instance that is
+	// not graph shaped, and "mwu" for that or a quality bracket that did
+	// not close within the iteration budget (see [WithAccuracy]). It is
+	// zero for the other solvers.
 	MWUFallbacks int
 	// CSRPatched counts snapshot refreshes during this call served by
 	// the journal-driven partial CSR patch (only the touched rows
