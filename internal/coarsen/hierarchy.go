@@ -150,8 +150,8 @@ type Hierarchy struct {
 	lstats []LevelStats
 
 	// recordWave is set while repair runs, making the group mutators
-	// (dissolve, rematch, connectGroups) log every coarse vertex they
-	// touch into waveCur — the next level's exact touched set.
+	// (removeDissolved, rematch, connectGroups) log every coarse vertex
+	// they touch into waveCur — the next level's exact touched set.
 	recordWave bool
 
 	// Scratch arenas, grown to the largest level seen.
@@ -162,6 +162,7 @@ type Hierarchy struct {
 	orderBuf  []graph.Vertex
 	repsBuf   []graph.Vertex
 	cvsBuf    []graph.Vertex
+	rmBuf     []graph.Vertex // coarse vertices dissolved this repair
 	changeBuf []graph.Vertex
 	connBuf   []float64
 	wBuf      []float64
@@ -363,6 +364,7 @@ func (h *Hierarchy) repair(l int, lv *level, fg *graph.Graph, fa *partition.Assi
 	for _, v := range h.collectImpure(lv, fg, fa) {
 		dissolved += h.dissolve(lv, v)
 	}
+	h.removeDissolved(lv)
 	// 3. Collect the freed vertices and project the fine assignment up
 	// through the surviving (pure) groups (sharded; the coarse write is
 	// owned by each group's smallest member).
@@ -378,8 +380,8 @@ func (h *Hierarchy) repair(l int, lv *level, fg *graph.Graph, fa *partition.Assi
 	return true
 }
 
-// dissolve removes v's group from the coarse graph and unmaps its
-// members; it reports 1 if a group was actually dissolved.
+// dissolve unmaps v's group and queues its coarse vertex for
+// removeDissolved; it reports 1 if a group was actually dissolved.
 func (h *Hierarchy) dissolve(lv *level, v graph.Vertex) int {
 	if int(v) >= len(lv.f2c) {
 		return 0
@@ -389,14 +391,7 @@ func (h *Hierarchy) dissolve(lv *level, v graph.Vertex) int {
 		return 0
 	}
 	if lv.gc.Alive(cv) {
-		if h.recordWave {
-			// Mirror the journal: a removal touches the removed vertex
-			// and every former neighbor (their aggregated adjacency
-			// changes) — captured before the removal erases it.
-			h.waveCur = append(h.waveCur, cv)
-			h.waveCur = append(h.waveCur, lv.gc.Neighbors(cv)...)
-		}
-		_ = lv.gc.RemoveVertex(cv)
+		h.rmBuf = append(h.rmBuf, cv)
 		// Clear the dead slot's assignment: downstream kernels (the
 		// coarsest-level layering, partition.Validate) reject dead
 		// vertices that still carry a partition.
@@ -410,6 +405,26 @@ func (h *Hierarchy) dissolve(lv *level, v graph.Vertex) int {
 		lv.match[u] = u
 	}
 	return 1
+}
+
+// removeDissolved removes the coarse vertices dissolve queued, in one
+// batch: graph.RemoveVertices compacts each surviving neighbor row once,
+// where one RemoveVertex per group would rescan a hub's row for every
+// removed neighbor. The recorded wave mirrors the journal — a removal
+// touches the removed vertex and every former neighbor, whose
+// aggregated adjacency changes — and is the same set the one-by-one
+// removals would record.
+func (h *Hierarchy) removeDissolved(lv *level) {
+	if h.recordWave {
+		for _, cv := range h.rmBuf {
+			h.waveCur = append(h.waveCur, cv)
+			h.waveCur = append(h.waveCur, lv.gc.Neighbors(cv)...)
+		}
+	}
+	// The queue holds distinct live vertices (dissolve unmaps a group's
+	// members before queueing), so RemoveVertices cannot fail.
+	_ = lv.gc.RemoveVertices(h.rmBuf)
+	h.rmBuf = h.rmBuf[:0]
 }
 
 // rematch heavy-edge-matches the freed vertices among themselves with
@@ -509,14 +524,21 @@ func (h *Hierarchy) build(l int, fg *graph.Graph, fa *partition.Assignment, st *
 
 // connectGroups inserts the aggregated coarse adjacency of newly created
 // coarse vertices cvs (reps[i] is the smallest fine member of cvs[i]).
-// Each group's neighbor list is aggregated into a sorted run — never via
-// map iteration — so coarse adjacency order is deterministic. The
-// aggregation is per-group independent, so it shards over the group
-// list by arc weight with worker-private buffers; the insertions then
-// replay sequentially in ascending group order, producing the identical
-// coarse graph and wave log at every worker count. Edges between two
-// new groups are attempted from both sides with identical aggregate
-// weight, and AddEdgeIfAbsent keeps the first.
+// The aggregation is per-group independent, so it shards over the group
+// list by arc weight; each worker sums a group's arcs into a scatter
+// accumulator over coarse slots and emits the group's run in ascending
+// coarse-slot order (connectTask), never via map iteration. The
+// insertions then replay sequentially in ascending group order, so the
+// coarse graph — adjacency order included — and the wave log are
+// identical at every worker count. A group with k distinct coarse
+// neighbors spanning s slots costs O(its arcs + min(k log k, s)), with
+// O(coarse order) scatter state per worker.
+//
+// Insertion needs no duplicate scan. The new groups are consecutive
+// fresh slots, so an edge to an older vertex cannot exist yet, and an
+// edge between two new groups is aggregated from both sides with the
+// same arcs: the lower slot inserts it and the higher skips it (cvs[0]
+// ≤ cw < cv).
 func (h *Hierarchy) connectGroups(fg *graph.Graph, lv *level, reps, cvs []graph.Vertex) {
 	if len(cvs) == 0 {
 		return
@@ -538,16 +560,39 @@ func (h *Hierarchy) connectGroups(fg *graph.Graph, lv *level, reps, cvs []graph.
 	}
 	h.shards = par.SplitByWeight(h.shards[:0], cum, w)
 	growSweeps(&h.sweeps, len(h.shards))
+	n := lv.gc.Order()
+	for wk := range h.shards {
+		ws := &h.sweeps[wk]
+		if len(ws.acc) < n {
+			// Coarse levels gain slots on every repair: grow by append so
+			// the arenas reallocate amortized, not per call.
+			ws.acc = append(ws.acc, make([]float64, n-len(ws.acc))...)
+			ws.acc = ws.acc[:cap(ws.acc)]
+			ws.seen.Grow(len(ws.acc))
+		}
+	}
 	h.cgTask = connectTask{h: h, fg: fg, lv: lv, reps: reps}
 	h.group().Run(len(h.shards), &h.cgTask)
 	h.cgTask = connectTask{}
+	// A new group's neighbors are exactly its run: size every new row
+	// once, before any insertion appends to it.
+	for wk := range h.shards {
+		lo := int32(0)
+		for k, hi := range h.sweeps[wk].runs {
+			lv.gc.ReserveNeighbors(cvs[h.shards[wk].Lo+k], int(hi-lo))
+			lo = hi
+		}
+	}
+	first := cvs[0]
 	for wk := range h.shards {
 		ws := &h.sweeps[wk]
 		lo := int32(0)
 		for k, hi := range ws.runs {
 			cv := cvs[h.shards[wk].Lo+k]
 			for _, pr := range ws.pairs[lo:hi] {
-				lv.gc.AddEdgeIfAbsent(cv, pr.cw, pr.w)
+				if pr.cw < first || pr.cw > cv {
+					lv.gc.AddEdgeUnchecked(cv, pr.cw, pr.w)
+				}
 				if h.recordWave {
 					// An edge insertion touches both endpoints; cv itself
 					// was already recorded at AddVertex.

@@ -16,6 +16,7 @@ package coarsen
 // hierarchies and assignments.
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/graph"
@@ -397,8 +398,12 @@ type sweepWorker struct {
 	total   float64
 	maxW    float64
 	pairs   []cwPair
-	scratch []cwPair
 	runs    []int32
+	// connectTask's scatter accumulator: acc is indexed by coarse slot
+	// and valid where seen is marked; keys lists a group's endpoints.
+	acc  []float64
+	seen par.Stamps
+	keys []graph.Vertex
 }
 
 func growSweeps(sw *[]sweepWorker, n int) {
@@ -741,27 +746,17 @@ func (h *Hierarchy) scanSeeds(fg *graph.Graph, fa *partition.Assignment, seeds [
 	}
 }
 
-// cwPairCmp is a total order on aggregation pairs (coarse endpoint,
-// then weight): with no distinct equal elements, any sorting algorithm
-// yields the same permutation, so run aggregation sums are identical
-// everywhere.
-func cwPairCmp(a, b cwPair) int {
-	if a.cw != b.cw {
-		return int(a.cw) - int(b.cw)
-	}
-	switch {
-	case a.w < b.w:
-		return -1
-	case a.w > b.w:
-		return 1
-	}
-	return 0
-}
-
 // connectTask aggregates the coarse adjacency of each new group in a
-// shard: gather both members' arcs, sort by coarse endpoint, collapse
-// runs into (endpoint, weight) pairs with per-group end offsets. All
-// output is worker-private; insertion replays sequentially afterwards.
+// shard into a worker-private scatter accumulator indexed by coarse
+// slot: the first arc to a coarse endpoint claims it in the worker's
+// stamp set (a new generation per group, so nothing is reset) and
+// records it; later arcs add to its slot. The group's (endpoint, weight)
+// run is then emitted in ascending coarse-slot order by the cheaper of
+// a scan over the span of stamped slots and a sort of the k distinct
+// endpoints (par.ScanBeatsSort) — a hub group's endpoints can cover most
+// of the level. Weights sum in adjacency order, which is exact for
+// integral weights. All output is worker-private; insertion replays
+// sequentially afterwards.
 type connectTask struct {
 	h    *Hierarchy
 	fg   *graph.Graph
@@ -773,11 +768,13 @@ func (t *connectTask) Do(w int) {
 	h := t.h
 	r := h.shards[w]
 	ws := &h.sweeps[w]
-	pairs, runs := ws.pairs[:0], ws.runs[:0]
+	pairs, runs, acc := ws.pairs[:0], ws.runs[:0], ws.acc
 	for i := r.Lo; i < r.Hi; i++ {
 		v := t.reps[i]
 		cv := t.lv.f2c[v]
-		scratch := ws.scratch[:0]
+		ws.seen.Next()
+		keys := ws.keys[:0]
+		lo, hi := graph.Vertex(math.MaxInt32), graph.Vertex(-1)
 		members := [2]graph.Vertex{v, t.lv.match[v]}
 		cnt := 1
 		if members[1] != v {
@@ -790,22 +787,34 @@ func (t *connectTask) Do(w int) {
 				if cw == cv || cw < 0 {
 					continue
 				}
-				scratch = append(scratch, cwPair{cw, ews[j]})
+				if ws.seen.TryMark(cw) {
+					keys = append(keys, cw)
+					acc[cw] = ews[j]
+					if cw < lo {
+						lo = cw
+					}
+					if cw > hi {
+						hi = cw
+					}
+				} else {
+					acc[cw] += ews[j]
+				}
 			}
 		}
-		slices.SortFunc(scratch, cwPairCmp)
-		for j := 0; j < len(scratch); {
-			k := j + 1
-			wsum := scratch[j].w
-			for k < len(scratch) && scratch[k].cw == scratch[j].cw {
-				wsum += scratch[k].w
-				k++
+		if k := len(keys); k > 0 && par.ScanBeatsSort(k, int(hi-lo)+1) {
+			for cw := lo; cw <= hi; cw++ {
+				if ws.seen.Marked(cw) {
+					pairs = append(pairs, cwPair{cw, acc[cw]})
+				}
 			}
-			pairs = append(pairs, cwPair{scratch[j].cw, wsum})
-			j = k
+		} else {
+			slices.Sort(keys)
+			for _, cw := range keys {
+				pairs = append(pairs, cwPair{cw, acc[cw]})
+			}
 		}
 		runs = append(runs, int32(len(pairs)))
-		ws.scratch = scratch[:0]
+		ws.keys = keys[:0]
 	}
 	ws.pairs, ws.runs = pairs, runs
 }

@@ -381,11 +381,6 @@ type Engine struct {
 	bws    []boundaryWorker
 	rb     rebuildTask
 	df     diffTask
-
-	// Parallel sorted-boundary scratch (see sortedBoundary).
-	cutBuf2  []graph.Vertex
-	cutHeads []int
-	cs       cutSortTask
 }
 
 // neverSeen marks prevPart slots the engine has not synced yet; it never

@@ -156,71 +156,31 @@ func (t *diffTask) Do(w int) {
 	}
 }
 
-// parCutSortMin is the boundary size below which the sorted cut report
-// sorts inline: sorting a small boundary is cheaper than a fork.
-const parCutSortMin = 1024
-
-// cutSortTask sorts one contiguous shard of the engine's cut buffer.
-type cutSortTask struct{ e *Engine }
-
-func (t *cutSortTask) Do(w int) {
-	sh := t.e.shards[w]
-	slices.Sort(t.e.cutBuf[sh.Lo:sh.Hi])
-}
-
-// sortedBoundary copies the (unordered, duplicate-free) boundary set
-// into the engine's cut scratch and sorts it ascending — the seed order
-// partition.CutSeededInto/CutSeededWeight expect. Large boundaries sort
-// per-shard on the worker group and k-way merge sequentially; sorted
-// ascending order is a canonical property of the *set*, so the result is
-// bit-identical to the sequential slices.Sort for every worker count.
-// The returned slice is engine-owned scratch, valid until the next call.
+// sortedBoundary returns the (unordered, duplicate-free) boundary set in
+// ascending order — the seed order partition.CutSeededInto/
+// CutSeededWeight expect — by the cheaper of two sequential builds
+// (par.ScanBeatsSort). When the boundary is a large share of the order
+// n, a scan of inBoundary[:n] emits the members already sorted, at O(n);
+// otherwise a copy of the small list is sorted, at O(b log b) for b
+// members. Ascending order is a property of the set, so both builds
+// return the same list at every worker count, and the cut served from it
+// stays bit-identical to partition.Cut. The returned slice is
+// engine-owned scratch, valid until the next call.
 func (e *Engine) sortedBoundary() []graph.Vertex {
-	e.cutBuf = append(e.cutBuf[:0], e.boundary...)
-	n := len(e.cutBuf)
-	if e.procs <= 1 || n < parCutSortMin {
-		slices.Sort(e.cutBuf)
-		return e.cutBuf
-	}
-	e.shards = par.Split(e.shards[:0], n, e.procs)
-	if len(e.shards) < 2 {
-		slices.Sort(e.cutBuf)
-		return e.cutBuf
-	}
-	e.cs = cutSortTask{e: e}
-	e.group.Run(len(e.shards), &e.cs)
-	e.cs = cutSortTask{}
-
-	// Merge the sorted runs. The input is duplicate-free, so the minimum
-	// head is unique at every step and the merge order is forced.
-	if cap(e.cutBuf2) < n {
-		e.cutBuf2 = make([]graph.Vertex, 0, n)
-	}
-	if cap(e.cutHeads) < len(e.shards) {
-		e.cutHeads = make([]int, len(e.shards))
-	}
-	heads := e.cutHeads[:len(e.shards)]
-	for i, sh := range e.shards {
-		heads[i] = sh.Lo
-	}
-	out := e.cutBuf2[:0]
-	for len(out) < n {
-		best := -1
-		var bv graph.Vertex
-		for i, h := range heads {
-			if h >= e.shards[i].Hi {
-				continue
-			}
-			if v := e.cutBuf[h]; best < 0 || v < bv {
-				best, bv = i, v
+	n := e.csr.Order()
+	if par.ScanBeatsSort(len(e.boundary), n) {
+		out := e.cutBuf[:0]
+		for v, in := range e.inBoundary[:n] {
+			if in {
+				out = append(out, graph.Vertex(v))
 			}
 		}
-		out = append(out, bv)
-		heads[best]++
+		e.cutBuf = out
+		return out
 	}
-	// Swap the buffers so the next call reuses both backing arrays.
-	e.cutBuf, e.cutBuf2 = out, e.cutBuf
-	return out
+	e.cutBuf = append(e.cutBuf[:0], e.boundary...)
+	slices.Sort(e.cutBuf)
+	return e.cutBuf
 }
 
 // recomputePar is recompute with an atomic claim: the stamp CAS admits

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/layering"
+	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/refine"
 )
@@ -243,25 +244,56 @@ func TestSteadyStateParallelGainsAllocs(t *testing.T) {
 	}
 }
 
-// TestParallelSortedBoundaryEquivalence: the sharded sort + k-way merge
-// behind the cut reports must reproduce the sequential ascending sort
-// exactly, on a boundary large enough to take the parallel path, and
-// keep doing so across calls (the two scratch buffers swap roles).
-func TestParallelSortedBoundaryEquivalence(t *testing.T) {
-	for _, procs := range []int{2, 3, 7} {
-		g, a := editableGraph(t, 3000, 8, 11)
-		e := New(g, Options{Parallelism: procs})
-		e.sync(a)
-		want := append([]graph.Vertex(nil), e.boundary...)
-		slices.Sort(want)
-		if len(want) < parCutSortMin {
-			t.Fatalf("boundary has %d vertices, below parCutSortMin=%d — the parallel path is untested",
-				len(want), parCutSortMin)
-		}
-		for call := 0; call < 3; call++ {
-			got := e.sortedBoundary()
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("procs=%d call %d: sorted boundary diverges from sequential sort", procs, call)
+// TestSortedBoundaryRegimes: the sorted cut-report seed list must equal
+// a plain sort of the boundary set in both of sortedBoundary's regimes —
+// the flag scan (most vertices on the boundary) and the list sort (a
+// thin boundary) — at every worker count, and keep doing so across calls
+// and edits.
+func TestSortedBoundaryRegimes(t *testing.T) {
+	regimes := []struct {
+		name string
+		scan bool
+		mk   func() (*graph.Graph, *partition.Assignment)
+	}{
+		{"scan", true, func() (*graph.Graph, *partition.Assignment) {
+			g, a := editableGraph(t, 3000, 8, 11)
+			rng := rand.New(rand.NewSource(3))
+			for v := range a.Part {
+				a.Part[v] = int32(rng.Intn(a.P))
+			}
+			return g, a
+		}},
+		{"sort", false, func() (*graph.Graph, *partition.Assignment) {
+			g := graph.Grid(100, 200)
+			a := partition.New(g.Order(), 2)
+			for v := range a.Part {
+				a.Part[v] = int32(v % 200 / 100)
+			}
+			return g, a
+		}},
+	}
+	for _, r := range regimes {
+		for _, procs := range []int{1, 2, 4} {
+			g, a := r.mk()
+			e := New(g, Options{Parallelism: procs})
+			rng := rand.New(rand.NewSource(int64(procs)))
+			for call := 0; call < 3; call++ {
+				want := append([]graph.Vertex(nil), e.Boundary(a)...)
+				slices.Sort(want)
+				if got := par.ScanBeatsSort(len(want), g.Order()); got != r.scan {
+					t.Fatalf("%s procs=%d: boundary %d of %d takes scan=%v", r.name, procs, len(want), g.Order(), got)
+				}
+				if got := e.sortedBoundary(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s procs=%d call %d: sorted boundary diverges from slices.Sort", r.name, procs, call)
+				}
+				if cut, ref := e.cutWeight(a), partition.Cut(g, a).TotalWeight; cut != ref {
+					t.Fatalf("%s procs=%d call %d: cut %v != partition.Cut %v", r.name, procs, call, cut, ref)
+				}
+				// Move a few vertices; the boundary stays in its regime.
+				for k := 0; k < 4; k++ {
+					v := graph.Vertex(rng.Intn(g.Order()))
+					a.Part[v] = int32(rng.Intn(a.P))
+				}
 			}
 		}
 	}

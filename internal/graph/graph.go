@@ -12,6 +12,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -43,6 +44,8 @@ type Graph struct {
 	journalV     []Vertex // touched vertices, parallel to journalE
 	journalE     []uint64 // epoch at which each touch happened
 	journalFloor uint64   // touches at epochs ≤ floor have been dropped
+
+	rmMark []uint8 // RemoveVertices scratch, all zero between calls
 }
 
 // maxJournal bounds the edit journal; once exceeded the journal is reset
@@ -153,6 +156,86 @@ func (g *Graph) RemoveVertex(v Vertex) error {
 	return nil
 }
 
+// RemoveVertices deletes every vertex of vs and all their incident
+// edges. The result is the graph RemoveVertex leaves when called on each
+// vertex of vs in turn: the same live set, the same edges and weights,
+// the same NumEdges, and the same set of journaled vertices. Only the
+// order within a surviving neighbor's adjacency differs: its remaining
+// entries keep their relative order, where RemoveVertex swaps the last
+// entry into each hole. Each affected neighbor row is compacted once, so
+// the cost is O(Σ deg(vs) + Σ deg(u)) over the surviving neighbors u,
+// instead of one scan of u's row per removed arc — the difference that
+// matters when many removed vertices share a high-degree neighbor. vs
+// must hold distinct live vertices; otherwise the graph is left
+// unchanged and an error is returned.
+func (g *Graph) RemoveVertices(vs []Vertex) error {
+	for len(g.rmMark) < len(g.adj) {
+		g.rmMark = append(g.rmMark, 0)
+	}
+	// rmMark: rmRemoved = in vs, rmCompacted = surviving row already
+	// compacted; every mark is cleared before returning.
+	mark := g.rmMark
+	for i, x := range vs {
+		if !g.Alive(x) || mark[x] != 0 {
+			for _, y := range vs[:i] {
+				mark[y] = 0
+			}
+			return fmt.Errorf("graph: remove vertices: %d is not a distinct live vertex", x)
+		}
+		mark[x] = rmRemoved
+	}
+	for _, x := range vs {
+		g.touch(x)
+		for _, u := range g.adj[x] {
+			switch mark[u] {
+			case rmRemoved:
+				if x < u {
+					g.m-- // an edge inside vs, counted from its smaller end
+				}
+			case 0:
+				g.m -= g.compactRow(u)
+				mark[u] = rmCompacted
+				g.touch(u)
+			}
+		}
+	}
+	for _, x := range vs {
+		for _, u := range g.adj[x] {
+			mark[u] = 0
+		}
+	}
+	for _, x := range vs {
+		mark[x] = 0
+		g.adj[x] = nil
+		g.ew[x] = nil
+		g.alive[x] = false
+		g.dead++
+	}
+	return nil
+}
+
+// rmMark states for RemoveVertices.
+const (
+	rmRemoved   = 1
+	rmCompacted = 2
+)
+
+// compactRow drops every neighbor marked rmRemoved from u's adjacency,
+// keeping the remaining entries in order, and returns how many it
+// dropped.
+func (g *Graph) compactRow(u Vertex) int {
+	a, w := g.adj[u], g.ew[u]
+	k := 0
+	for i, x := range a {
+		if g.rmMark[x] != rmRemoved {
+			a[k], w[k] = x, w[i]
+			k++
+		}
+	}
+	g.adj[u], g.ew[u] = a[:k], w[:k]
+	return len(a) - k
+}
+
 // VertexWeight returns the weight of v.
 func (g *Graph) VertexWeight(v Vertex) float64 { return g.vw[v] }
 
@@ -227,6 +310,15 @@ func (g *Graph) AddEdge(u, v Vertex, weight float64) error {
 // use this path.
 func (g *Graph) AddEdgeUnchecked(u, v Vertex, weight float64) {
 	g.addEdgeRaw(u, v, weight)
+}
+
+// ReserveNeighbors makes room for n more neighbors of v, so the next n
+// edge insertions at v do not reallocate its adjacency. Builders that
+// know a new vertex's final degree use it to allocate the row once
+// instead of growing it by doubling.
+func (g *Graph) ReserveNeighbors(v Vertex, n int) {
+	g.adj[v] = slices.Grow(g.adj[v], n)
+	g.ew[v] = slices.Grow(g.ew[v], n)
 }
 
 // AddEdgeIfAbsent inserts {u,v} if it is not already present, reporting

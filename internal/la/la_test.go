@@ -26,6 +26,29 @@ func TestDotAxpyScale(t *testing.T) {
 	if y[0] != 3 || y[2] != 6 {
 		t.Fatalf("scale result %v", y)
 	}
+	// Every length through the unrolled body and its tail, with y longer
+	// than x: element i is y[i] + a*x[i] and nothing past len(x) moves.
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n <= 11; n++ {
+		x, y := make([]float64, n), make([]float64, n+1)
+		for i := range y {
+			y[i] = rng.Float64()
+			if i < n {
+				x[i] = rng.Float64()
+			}
+		}
+		y0 := append([]float64(nil), y...)
+		Axpy(0.37, x, y)
+		for i := range y {
+			want := y0[i]
+			if i < n {
+				want += 0.37 * x[i]
+			}
+			if y[i] != want {
+				t.Fatalf("n=%d: axpy y[%d] = %v, want %v", n, i, y[i], want)
+			}
+		}
+	}
 }
 
 func TestNorm2Stability(t *testing.T) {

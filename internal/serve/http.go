@@ -72,10 +72,33 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, code, errorReply{Error: err.Error()})
 }
 
+// maxBodyBytes caps a POST body at 8 MiB. The largest body this
+// repository's own clients send is a create request carrying an explicit
+// 2000-vertex mesh (about 64 KB, the perfbench serve-mixed sessions);
+// loadgen and igpserve -smoke send a few hundred bytes. The cap keeps a
+// hostile or runaway body from being buffered without bound.
+const maxBodyBytes = 8 << 20
+
+// decodeBody decodes r's JSON body into v under the body cap. On failure
+// it writes the reply — 413 for a body past the cap, 400 for anything
+// else, prefixed by what — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, code, errorReply{Error: what + ": " + err.Error()})
+	return false
+}
+
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec GraphSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: "bad graph spec: " + err.Error()})
+	if !decodeBody(w, r, &spec, "bad graph spec") {
 		return
 	}
 	info, err := s.CreateGraph(r.Context(), spec)
@@ -88,8 +111,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleEdits(w http.ResponseWriter, r *http.Request) {
 	var req editsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: "bad edits request: " + err.Error()})
+	if !decodeBody(w, r, &req, "bad edits request") {
 		return
 	}
 	if len(req.Edits) == 0 {

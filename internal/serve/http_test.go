@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -162,5 +163,30 @@ func TestHTTPEditDecodeDefaults(t *testing.T) {
 	}
 	if fromOp.Op != OpRemoveVertex {
 		t.Fatalf("op round-trip: %q", fromOp.Op)
+	}
+}
+
+// TestHTTPBodyCap: a create or edits body past maxBodyBytes is refused
+// with 413 before it is buffered whole, while a malformed body under the
+// cap still gets 400.
+func TestHTTPBodyCap(t *testing.T) {
+	srv := New(Config{})
+	defer srv.Close()
+	h := srv.Handler()
+	huge := `{"p": 4, "pad": "` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, c := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"create over cap", "/graphs", huge, http.StatusRequestEntityTooLarge},
+		{"edits over cap", "/graphs/g1/edits", huge, http.StatusRequestEntityTooLarge},
+		{"create malformed", "/graphs", `{"p": `, http.StatusBadRequest},
+		{"edits malformed", "/graphs/g1/edits", `{"edits": [`, http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
+		if rec.Code != c.want {
+			t.Errorf("%s: status %d, want %d (body %.200s)", c.name, rec.Code, c.want, rec.Body.String())
+		}
 	}
 }

@@ -208,8 +208,8 @@ func WithBatches(k int) Option {
 
 // WithParallelism sets the worker count n ≥ 1 for the engine's sharded
 // multi-core kernels — the incremental boundary recompute, the layering
-// BFS level expansion, the refinement gain scan, the sorted cut report,
-// the orphan-cluster flood, and the LP simplex kernels (column-sharded
+// BFS level expansion, the refinement gain scan, the orphan-cluster
+// flood, the V-cycle, and the LP simplex kernels (column-sharded
 // pricing, ratio test and tableau update inside the balance and refine
 // solves). The default is runtime.GOMAXPROCS(0); n = 1 selects the
 // exact sequential code path.
